@@ -26,6 +26,15 @@ after a parallel cold run reports the same hit/miss totals -- and the
 returned list is ordered by the input units regardless of chunk completion
 order.
 
+Each unit's cache key is built once, by one
+:meth:`EvaluationEngine.cache_keys` call per batch, and reused by steps 1,
+2 and 4.  The analytic
+engine builds the conditions part of its keys once per conditions object
+(a study shares one across all PDNs of a scenario) as a :class:`MemoKey`,
+which hashes once instead of at every dict operation.  Every lookup and
+install hands the caller a field-level shallow copy of the cached master,
+with fresh mutable containers, so no caller can corrupt a later hit.
+
 Backends
 --------
 :class:`SerialExecutor`
@@ -123,6 +132,31 @@ _COLUMNAR_UNITS = METRICS.counter("executor.columnar.units")
 _SCALAR_UNITS = METRICS.counter("executor.scalar.units")
 
 
+class MemoKey(tuple):
+    """A memo-cache key tuple that computes its hash once.
+
+    Keys nest frozen dataclasses and enums whose ``__hash__`` runs in
+    Python, and a key is hashed at every dict operation of a batch (dedupe,
+    lookup, merge-back).  A ``MemoKey`` is equal to, and hashes like, the
+    plain tuple of its items, so it stays interchangeable with one: dict
+    lookups by either spelling meet, and
+    :func:`~repro.cache.canonical_key` (hence every on-disk address) is the
+    same.  Pickling drops the cached hash and rebuilds it on load, since
+    string hashes are salted per process.
+    """
+
+    def __new__(cls, items: Iterable[object]) -> "MemoKey":
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (MemoKey, (tuple(self),))
+
+
 class WorkerRecipe(Protocol):
     """A picklable recipe for rebuilding an engine inside a worker process."""
 
@@ -146,10 +180,14 @@ class EvaluationEngine(Protocol):
         """Whether the engine memoises evaluations."""
         ...  # pragma: no cover - protocol
 
-    def cache_key(
-        self, pdn_name: str, point: EvalPoint, overrides: OverrideKey
-    ) -> Tuple[object, ...]:
-        """The memo-cache key of one evaluation unit."""
+    def cache_keys(self, units: Sequence[EvalUnit]) -> List[Tuple[object, ...]]:
+        """The memo-cache key of every unit, in unit order.
+
+        Built once per batch and reused for lookup, merge-back and
+        reassembly; an engine may share key parts between units that
+        evaluate the same point object (``units`` pins those objects for
+        the whole call).
+        """
         ...  # pragma: no cover - protocol
 
     def cache_lookup(self, key: Tuple[object, ...]) -> Optional[EvalResult]:
@@ -452,13 +490,13 @@ class Executor(ABC):
         results: List[Optional[EvalResult]] = [None] * len(unit_list)
         if engine.cache_enabled:
             primaries: Dict[Tuple[object, ...], int] = {}
-            duplicates: List[Tuple[int, Tuple[object, ...]]] = []
+            duplicates: List[int] = []
             with obs_trace.span("executor.dedupe", category="executor",
                                 backend=self.name) as dedupe_span:
-                for slot, (name, point, overrides) in enumerate(unit_list):
-                    key = engine.cache_key(name, point, overrides)
+                keys = engine.cache_keys(unit_list)
+                for slot, key in enumerate(keys):
                     if key in primaries:
-                        duplicates.append((slot, key))
+                        duplicates.append(slot)
                         continue
                     cached = engine.cache_lookup(key)
                     if cached is not None:
@@ -485,13 +523,13 @@ class Executor(ABC):
                                         category="executor",
                                         units=len(chunk_result)):
                         for slot, evaluation in chunk_result:
-                            name, point, overrides = unit_list[slot]
-                            key = engine.cache_key(name, point, overrides)
-                            results[slot] = engine.cache_install(key, evaluation)
+                            results[slot] = engine.cache_install(
+                                keys[slot], evaluation
+                            )
             with obs_trace.span("executor.reassemble", category="executor",
                                 duplicates=len(duplicates)):
-                for slot, key in duplicates:
-                    resolved = engine.cache_lookup(key)
+                for slot in duplicates:
+                    resolved = engine.cache_lookup(keys[slot])
                     if resolved is None:  # pragma: no cover - install precedes this
                         raise ConfigurationError(
                             "cache merge-back lost an evaluation; this is a bug"

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import (
     EvalUnit,
     ExecutorLike,
+    MemoKey,
     SerialExecutor,
     TwoTierCacheMixin,
     WorkerConfig,
@@ -96,16 +97,22 @@ def _copy_evaluation(evaluation: PdnEvaluation) -> PdnEvaluation:
     ``PdnEvaluation`` is frozen but its ``breakdown`` (built by mutation
     inside the PDN models) and ``rail_voltages_v`` are not; handing the cached
     master to callers would let one caller's mutation corrupt every later
-    cache hit.
+    cache hit.  The copy is field-level and shallow: a new breakdown and a
+    new evaluation sharing the immutable field values, with fresh
+    ``rail_details`` / ``rail_voltages_v`` dicts (their values are floats).
+    Filling ``__dict__`` directly skips the dataclass ``__init__`` that
+    :func:`dataclasses.replace` would re-run on already validated values.
     """
-    breakdown = replace(
-        evaluation.breakdown, rail_details=dict(evaluation.breakdown.rail_details)
-    )
-    return replace(
-        evaluation,
-        breakdown=breakdown,
-        rail_voltages_v=dict(evaluation.rail_voltages_v),
-    )
+    source = evaluation.breakdown
+    breakdown = object.__new__(type(source))
+    breakdown.__dict__.update(source.__dict__)
+    breakdown.rail_details = dict(source.rail_details)
+    copy = object.__new__(type(evaluation))
+    fields = copy.__dict__
+    fields.update(evaluation.__dict__)
+    fields["breakdown"] = breakdown
+    fields["rail_voltages_v"] = dict(evaluation.rail_voltages_v)
+    return copy
 
 
 # Backwards-compatible alias: the key helper moved to repro.pdn.base so the
@@ -246,8 +253,30 @@ class PdnSpot(TwoTierCacheMixin):
         conditions: OperatingConditions,
         overrides: OverrideKey = (),
     ) -> Tuple[object, ...]:
-        """The memo-cache key of one evaluation unit."""
-        return (overrides, pdn_name, _conditions_key(conditions))
+        """The memo-cache key of one evaluation unit (see :meth:`cache_keys`)."""
+        return self.cache_keys([(pdn_name, conditions, overrides)])[0]
+
+    def cache_keys(self, units: Sequence[EvalUnit]) -> List[Tuple[object, ...]]:
+        """The memo-cache key of every unit, in unit order.
+
+        A key is ``(overrides, pdn_name, conditions_key)``: equal to, and
+        hashing like, that plain tuple, so it names the same dict slot and
+        on-disk address.  The conditions part -- the one whose hash walks every domain load --
+        is built once per distinct conditions *object* as a
+        :class:`~repro.analysis.executor.MemoKey` (hashed once); a study
+        shares one object across all of a scenario's PDNs.  The rest of the
+        key hashes at C speed.  Identity is a safe key here because
+        ``units`` pins every conditions object for the whole call.
+        """
+        point_keys: Dict[int, MemoKey] = {}
+        keys: List[Tuple[object, ...]] = []
+        for name, conditions, overrides in units:
+            point_key = point_keys.get(id(conditions))
+            if point_key is None:
+                point_key = MemoKey(_conditions_key(conditions))
+                point_keys[id(conditions)] = point_key
+            keys.append((overrides, name, point_key))
+        return keys
 
     @property
     def disk_cache(self) -> Optional[DiskCache]:

@@ -44,7 +44,7 @@ from repro.analysis.executor import (
 )
 from repro.obs import trace as obs_trace
 
-#: An engine cache key (opaque: whatever ``engine.cache_key`` returns).
+#: An engine cache key (opaque: whatever ``engine.cache_keys`` returns).
 CacheKey = Tuple[object, ...]
 
 
@@ -141,9 +141,7 @@ class Coalescer:
         futures: List["asyncio.Future[EvalResult]"] = []
         loop = asyncio.get_running_loop()
         self.stats.units_requested += len(units)
-        for unit in units:
-            name, point, overrides = unit
-            key = self._engine.cache_key(name, point, overrides)
+        for unit, key in zip(units, self._engine.cache_keys(units)):
             future = self._inflight.get(key)
             if future is not None:
                 self.stats.keys_coalesced += 1

@@ -395,6 +395,12 @@ class SimEngine(TwoTierCacheMixin):
         """The memo-cache key of one simulation unit."""
         return (overrides, pdn_name, point)
 
+    def cache_keys(
+        self, units: Sequence[Tuple[str, SimPoint, OverrideKey]]
+    ) -> List[Tuple[object, ...]]:
+        """The memo-cache key of every unit, in unit order."""
+        return [self.cache_key(*unit) for unit in units]
+
     @property
     def disk_cache(self) -> Optional[DiskCache]:
         """The attached simulation-result store (second cache tier), if any."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import Counter
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -35,8 +35,8 @@ class CountingEngine:
     def cache_enabled(self) -> bool:
         return True
 
-    def cache_key(self, name, point, overrides) -> Tuple[object, ...]:
-        return (name, point, overrides)
+    def cache_keys(self, units) -> List[Tuple[object, ...]]:
+        return [tuple(unit) for unit in units]
 
     def cache_lookup(self, key) -> Optional[object]:
         with self._lock:
