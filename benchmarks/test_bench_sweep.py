@@ -13,9 +13,10 @@ Four benchmark groups track the sweep engine's perf trajectory:
   the results are asserted identical either way.
 * ``sim-scenarios`` -- the trace-driven scenario grid of the ``sim``
   experiment (8 scenarios x 2 TDPs x 5 PDNs, ~3000 simulated phases) through
-  ``SimEngine.run``: cold serial versus the process backend, plus the warm
-  (memo-cached) run gated against the cold serial column by
-  ``tools/check_bench_regression.py``.
+  ``SimEngine.run``: cold serial versus the process backend, a fresh
+  cache-enabled engine per round (the study-level columnar prefill), plus
+  the warm (memo-cached) run; the last two are gated against the cold
+  serial column by ``tools/check_bench_regression.py``.
 """
 
 import pytest
@@ -128,6 +129,29 @@ def test_bench_sim_scenarios_cold_serial(benchmark, sim_scenario_reference):
     engine.prime_for_execution([("FlexWatts", study.points[0], ())])
     resultset = benchmark.pedantic(engine.run, args=(study,), rounds=1, iterations=1)
     assert len(resultset) == SIM_SCENARIO_ROWS
+    assert resultset == sim_scenario_reference
+
+
+@pytest.mark.benchmark(group="sim-scenarios")
+def test_bench_sim_scenarios_cold_cached(benchmark, sim_scenario_reference):
+    """A fresh cache-enabled engine per round: the study-level prefill.
+
+    Nothing is memoised yet, so every phase point is evaluated -- in
+    columnar batches before the replays.  Gated by
+    ``tools/check_bench_regression.py --max-ratio`` relative to the cold
+    serial column (``enable_cache=False``, per-point replays): a prefill
+    that silently declines falls back to per-point evaluation and fails.
+    """
+    study = scenario_study()
+
+    def fresh_engine():
+        engine = SimEngine()
+        _ = engine.spot.pdn("FlexWatts").predictor  # calibrate outside the timing
+        return (engine, study), {}
+
+    resultset = benchmark.pedantic(
+        SimEngine.run, setup=fresh_engine, rounds=5, iterations=1
+    )
     assert resultset == sim_scenario_reference
 
 

@@ -28,18 +28,19 @@ order.
 
 Each unit's cache key is built once, by one
 :meth:`EvaluationEngine.cache_keys` call per batch, and reused by steps 1,
-2 and 4.  The analytic
-engine builds the conditions part of its keys once per conditions object
-(a study shares one across all PDNs of a scenario) as a :class:`MemoKey`,
-which hashes once instead of at every dict operation.  Every lookup and
-install hands the caller a field-level shallow copy of the cached master,
-with fresh mutable containers, so no caller can corrupt a later hit.
+2 and 4.  The analytic engine builds the conditions part of its keys once
+per conditions object (a study shares one across all PDNs of a scenario) as
+a :class:`~repro.pdn.base.MemoKey`, which hashes once instead of at every
+dict operation.  Every lookup and install hands the caller a field-level
+shallow copy of the cached master, with fresh mutable containers, so no
+caller can corrupt a later hit.
 
 Backends
 --------
 :class:`SerialExecutor`
-    Evaluates chunks in order on the calling thread.  The default engine path
-    (``executor=None``) is equivalent but skips the sharding machinery.
+    Evaluates chunks in order on the calling thread.  The engines' default
+    path (``executor=None``) is equivalent: the simulation engine and a
+    cache-enabled columnar ``PdnSpot`` drive this backend as one chunk.
 :class:`ThreadExecutor`
     A :class:`concurrent.futures.ThreadPoolExecutor` per call.  The PDN
     models are pure Python, so the GIL serialises the actual math; threads
@@ -88,6 +89,7 @@ from typing import (
 from repro.analysis.study import OverrideKey
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
+from repro.pdn.base import MemoKey  # noqa: F401 - re-exported, engines key with it
 from repro.util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pdnspot imports us)
@@ -130,31 +132,6 @@ _CHUNKS = METRICS.counter("executor.chunks")
 _COLUMNAR_CHUNKS = METRICS.counter("executor.columnar.chunks")
 _COLUMNAR_UNITS = METRICS.counter("executor.columnar.units")
 _SCALAR_UNITS = METRICS.counter("executor.scalar.units")
-
-
-class MemoKey(tuple):
-    """A memo-cache key tuple that computes its hash once.
-
-    Keys nest frozen dataclasses and enums whose ``__hash__`` runs in
-    Python, and a key is hashed at every dict operation of a batch (dedupe,
-    lookup, merge-back).  A ``MemoKey`` is equal to, and hashes like, the
-    plain tuple of its items, so it stays interchangeable with one: dict
-    lookups by either spelling meet, and
-    :func:`~repro.cache.canonical_key` (hence every on-disk address) is the
-    same.  Pickling drops the cached hash and rebuilds it on load, since
-    string hashes are salted per process.
-    """
-
-    def __new__(cls, items: Iterable[object]) -> "MemoKey":
-        key = super().__new__(cls, items)
-        key._hash = tuple.__hash__(key)
-        return key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return (MemoKey, (tuple(self),))
 
 
 class WorkerRecipe(Protocol):

@@ -31,7 +31,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analysis.executor import (
     EvalUnit,
     ExecutorLike,
-    MemoKey,
     SerialExecutor,
     TwoTierCacheMixin,
     WorkerConfig,
@@ -51,6 +50,7 @@ from repro.cost.board_area import BoardAreaModel
 from repro.cost.bom import BomModel
 from repro.pdn import columnar as columnar_core
 from repro.pdn.base import (
+    MemoKey,
     OperatingConditions,
     PdnEvaluation,
     PowerDeliveryNetwork,
@@ -263,7 +263,7 @@ class PdnSpot(TwoTierCacheMixin):
         hashing like, that plain tuple, so it names the same dict slot and
         on-disk address.  The conditions part -- the one whose hash walks every domain load --
         is built once per distinct conditions *object* as a
-        :class:`~repro.analysis.executor.MemoKey` (hashed once); a study
+        :class:`~repro.pdn.base.MemoKey` (hashed once); a study
         shares one object across all of a scenario's PDNs.  The rest of the
         key hashes at C speed.  Identity is a safe key here because
         ``units`` pins every conditions object for the whole call.

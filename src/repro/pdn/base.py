@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.pdn.losses import LossBreakdown
 from repro.power.domains import (
@@ -51,6 +51,31 @@ def conditions_key(conditions: "OperatingConditions") -> tuple:
         conditions.board_vr_state,
         tuple(conditions.loads),
     )
+
+
+class MemoKey(tuple):
+    """A memo-cache key tuple that computes its hash once.
+
+    Keys nest frozen dataclasses and enums whose ``__hash__`` runs in
+    Python, and a key is hashed at every dict operation of a batch (dedupe,
+    lookup, merge-back, the simulator's per-run memos).  A ``MemoKey`` is
+    equal to, and hashes like, the plain tuple of its items, so it stays
+    interchangeable with one: dict lookups by either spelling meet, and
+    :func:`~repro.cache.canonical_key` (hence every on-disk address) is the
+    same.  Pickling drops the cached hash and rebuilds it on load, since
+    string hashes are salted per process.
+    """
+
+    def __new__(cls, items: Iterable[object]) -> "MemoKey":
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (MemoKey, (tuple(self),))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from repro.core.runtime_estimator import RuntimeInputEstimator
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
 from repro.pdn.base import (
+    MemoKey,
     OperatingConditions,
     PdnEvaluation,
     PowerDeliveryNetwork,
@@ -36,7 +37,6 @@ from repro.workloads.base import WorkloadPhase, WorkloadTrace
 _SIM_PHASES = METRICS.counter("sim.phases")
 _SIM_MODE_SWITCHES = METRICS.counter("sim.mode_switches")
 _SIM_RESIDENCY_GUARD_HITS = METRICS.counter("sim.residency_guard_hits")
-_SIM_PREFILL_BATCHES = METRICS.counter("sim.prefill_batches")
 
 #: Evaluation hook for static PDNs: ``(pdn, conditions) -> PdnEvaluation``.
 #: Lets an external memo cache (a :class:`repro.analysis.pdnspot.PdnSpot`)
@@ -50,6 +50,10 @@ PhaseEvaluator = Callable[
 ModeEvaluator = Callable[
     [FlexWattsPdn, OperatingConditions, PdnMode], PdnEvaluation
 ]
+
+#: A phase's operating point plus its hash-once memo key
+#: (``MemoKey(conditions_key(conditions))``).
+PhasePoint = Tuple[OperatingConditions, MemoKey]
 
 
 def phase_conditions(phase: WorkloadPhase, tdp_w: float) -> OperatingConditions:
@@ -69,6 +73,12 @@ def phase_conditions(phase: WorkloadPhase, tdp_w: float) -> OperatingConditions:
     if phase.power_state is PackageCState.C0:
         raise ConfigurationError("a C0 phase needs a benchmark")
     return OperatingConditions.for_power_state(tdp_w, phase.power_state)
+
+
+def phase_point(phase: WorkloadPhase, tdp_w: float) -> PhasePoint:
+    """:func:`phase_conditions` plus the point's hash-once memo key."""
+    conditions = phase_conditions(phase, tdp_w)
+    return conditions, MemoKey(conditions_key(conditions))
 
 
 def phase_duration(phase: WorkloadPhase, trace_period_s: float) -> float:
@@ -188,9 +198,14 @@ class IntervalSimulator:
     # ------------------------------------------------------------------ #
     # Operating-point construction
     # ------------------------------------------------------------------ #
-    def _conditions_for_phase(self, phase: WorkloadPhase) -> OperatingConditions:
-        """Delegate to the module-level mapping at this simulator's TDP."""
-        return phase_conditions(phase, self._tdp_w)
+    def _phase_point(self, phase: WorkloadPhase) -> PhasePoint:
+        """One phase's operating point and memo key at this simulator's TDP.
+
+        The internal hook through which :class:`repro.sim.study.SimEngine`
+        serves phase points from its per-engine memo (built once per
+        ``(power state, benchmark, TDP)`` instead of once per phase).
+        """
+        return phase_point(phase, self._tdp_w)
 
     def _phase_duration_s(self, phase: WorkloadPhase) -> float:
         """Delegate to the module-level mapping at this simulator's period."""
@@ -199,55 +214,6 @@ class IntervalSimulator:
     # ------------------------------------------------------------------ #
     # Simulation
     # ------------------------------------------------------------------ #
-
-    #: Distinct operating points a trace must reach before the phase batch
-    #: is worth a vectorized pass; short traces stay on the scalar memo.
-    _COLUMNAR_PREFILL_THRESHOLD = 8
-
-    def _prefill_phase_batch(
-        self,
-        pdn: PowerDeliveryNetwork,
-        trace: WorkloadTrace,
-        durations_s: Sequence[float],
-        evaluations: Dict[Tuple[object, ...], PdnEvaluation],
-    ) -> None:
-        """Seed the per-run memo with one vectorized pass over the phases.
-
-        The phase loop batches evaluations by operating point already; for
-        static PDNs on traces with many *distinct* points (DVFS ladders,
-        randomized scenario storms) this computes the whole batch as column
-        arrays instead of one Python call per point.  The columnar kernels
-        are bit-identical to ``pdn.evaluate`` (they share the equivalence
-        oracle), so seeding the memo never changes a simulation result; if
-        the model or any point declines columnarisation, the memo is simply
-        left empty and the loop evaluates per point as before.
-        """
-        distinct: Dict[Tuple[object, ...], OperatingConditions] = {}
-        for index, phase in enumerate(trace.phases):
-            if durations_s[index] == 0.0:
-                continue
-            try:
-                conditions = self._conditions_for_phase(phase)
-            except ConfigurationError:
-                # A malformed phase must fail inside the loop, at its place
-                # in the trace, so callers observe the same partial state a
-                # per-point run would have produced.
-                return
-            distinct.setdefault((None, conditions_key(conditions)), conditions)
-        if len(distinct) < self._COLUMNAR_PREFILL_THRESHOLD:
-            return
-        # Imported lazily: the columnar core lazily imports repro.core in
-        # the other direction, and neither import may run at module load.
-        from repro.pdn.columnar import evaluate_columns
-
-        with obs_trace.span("sim.phase_batch", category="sim",
-                            pdn=pdn.name, points=len(distinct)) as batch_span:
-            results = evaluate_columns(pdn, list(distinct.values()))
-            batch_span.set("columnar", results is not None)
-        if results is not None:
-            _SIM_PREFILL_BATCHES.inc()
-            evaluations.update(zip(distinct.keys(), results))
-
     def run(
         self,
         trace: WorkloadTrace,
@@ -270,7 +236,9 @@ class IntervalSimulator:
         ``evaluate_in_mode`` hooks route those one-per-point evaluations
         through an external cache (:class:`repro.sim.study.SimEngine` wires
         them to a shared :class:`~repro.analysis.pdnspot.PdnSpot`), so
-        operating points repeated *across* traces are also computed once.
+        operating points repeated *across* traces are also computed once;
+        the engine fills those caches with one columnar batch per study
+        before any replay starts.
 
         A trace whose phases all resolve to zero duration is rejected: it has
         no simulable time, so every aggregate would silently be zero.
@@ -295,15 +263,13 @@ class IntervalSimulator:
         # predictions depend only on the operating point (plus the forced
         # mode), never on when in the trace they happen.
         evaluations: Dict[Tuple[object, ...], PdnEvaluation] = {}
-        predictions: Dict[Tuple[object, ...], PdnMode] = {}
-        if not adaptive and evaluate is None:
-            self._prefill_phase_batch(pdn, trace, durations_s, evaluations)
+        predictions: Dict[MemoKey, PdnMode] = {}
 
         def evaluate_point(
-            conditions: OperatingConditions, mode: Optional[PdnMode]
+            conditions: OperatingConditions, point_key: MemoKey, mode: Optional[PdnMode]
         ) -> PdnEvaluation:
             """One evaluation per distinct (operating point, mode) pair."""
-            key = (mode, conditions_key(conditions))
+            key = (mode, point_key)
             cached = evaluations.get(key)
             if cached is None:
                 if mode is not None:
@@ -318,13 +284,12 @@ class IntervalSimulator:
                 evaluations[key] = cached
             return cached
 
-        def predict_point(conditions: OperatingConditions) -> PdnMode:
+        def predict_point(conditions: OperatingConditions, point_key: MemoKey) -> PdnMode:
             """One Algorithm-1 prediction per distinct operating point."""
-            key = conditions_key(conditions)
-            cached = predictions.get(key)
+            cached = predictions.get(point_key)
             if cached is None:
                 cached = pdn.predict_mode(conditions)
-                predictions[key] = cached
+                predictions[point_key] = cached
             return cached
 
         with obs_trace.span("sim.run", category="sim", trace=trace.name,
@@ -334,20 +299,20 @@ class IntervalSimulator:
                 if duration_s == 0.0:
                     continue
                 _SIM_PHASES.inc()
-                conditions = self._conditions_for_phase(phase)
+                conditions, point_key = self._phase_point(phase)
                 switched = False
                 mode_name: Optional[str] = None
                 if adaptive:
                     controller = pdn.switch_controller
                     controller.advance_time(duration_s)
-                    desired_mode = predict_point(conditions)
+                    desired_mode = predict_point(conditions, point_key)
                     if desired_mode is not controller.mode:
                         if controller.can_switch():
                             # The switch is performed at the phase boundary,
                             # while the compute domains are idle (the flow
                             # itself forces C6).
                             previous_power = evaluate_point(
-                                conditions, controller.mode
+                                conditions, point_key, controller.mode
                             ).supply_power_w
                             latency_s = controller.switch_to(desired_mode, pmu=pmu)
                             result.mode_switch_count += 1
@@ -369,10 +334,10 @@ class IntervalSimulator:
                                 "sim.residency_guard_hit", category="sim",
                                 phase=index, desired=desired_mode.value,
                             )
-                    evaluation = evaluate_point(conditions, controller.mode)
+                    evaluation = evaluate_point(conditions, point_key, controller.mode)
                     mode_name = controller.mode.value
                 else:
-                    evaluation = evaluate_point(conditions, None)
+                    evaluation = evaluate_point(conditions, point_key, None)
                 pmu.advance_time(duration_s)
                 pmu.enter_power_state(phase.power_state)
                 if pmu.has_telemetry_listeners:

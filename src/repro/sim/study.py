@@ -36,9 +36,9 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.executor import ExecutorLike, TwoTierCacheMixin, make_executor
+from repro.analysis.executor import ExecutorLike, SerialExecutor, TwoTierCacheMixin, make_executor
 from repro.analysis.pdnspot import CacheInfo, PdnSpot
 from repro.cache import (
     DiskCache,
@@ -53,13 +53,20 @@ from repro.core.flexwatts import FlexWattsPdn
 from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_switching import ModeSwitchController
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import METRICS
 from repro.obs.runstats import RunStats, executor_label
-from repro.pdn.base import OperatingConditions, PdnEvaluation, conditions_key
+from repro.pdn import columnar as columnar_core
+from repro.pdn.base import MemoKey, OperatingConditions, PdnEvaluation, conditions_key
 from repro.power.parameters import PdnTechnologyParameters
 from repro.sim.adapters import simulation_record
-from repro.sim.engine import IntervalSimulator, SimulationResult
-from repro.util.errors import ConfigurationError
+from repro.sim.engine import IntervalSimulator, PhasePoint, SimulationResult
+from repro.sim.engine import phase_duration, phase_point
+from repro.util.errors import ConfigurationError, ReproError
+from repro.workloads.base import WorkloadPhase, WorkloadTrace
 from repro.workloads.scenarios import DEFAULT_SEED, build_scenario_trace, get_scenario
+
+#: Columnar phase batches seeded into an engine's memos by the study prefill.
+_SIM_PREFILL_BATCHES = METRICS.counter("sim.prefill_batches")
 
 
 @dataclass(frozen=True)
@@ -260,6 +267,23 @@ def _copy_result(result: SimulationResult) -> SimulationResult:
     return replace(result, phase_records=list(result.phase_records))
 
 
+class _EngineSimulator(IntervalSimulator):
+    """An interval simulator that resolves phase points through an engine."""
+
+    def __init__(
+        self,
+        resolve: Callable[[WorkloadPhase, float], PhasePoint],
+        tdp_w: float,
+        trace_period_s: float,
+    ):
+        super().__init__(tdp_w=tdp_w, trace_period_s=trace_period_s)
+        self._resolve = resolve
+
+    def _phase_point(self, phase: WorkloadPhase) -> PhasePoint:
+        """Serve the phase point from the engine's memo."""
+        return self._resolve(phase, self._tdp_w)
+
+
 class SimEngine(TwoTierCacheMixin):
     """Memo-cached, executor-compatible trace-simulation engine.
 
@@ -281,8 +305,10 @@ class SimEngine(TwoTierCacheMixin):
     baseline_name:
         The PDN used for normalisation (IVR, the state of the art).
     enable_cache:
-        Whether simulations (and phase evaluations) are memoised.  Worker
-        processes disable it -- their units are already deduplicated.
+        Whether simulations (and traces, phase points and phase
+        evaluations) are memoised, and phase points prefilled in columnar
+        batches.  Worker processes disable it -- their units are already
+        deduplicated.
     disk_cache:
         Optional second cache tier.  A cache-directory path attaches *two*
         stores rooted there: one for this engine's simulation results
@@ -344,6 +370,14 @@ class SimEngine(TwoTierCacheMixin):
         #: racing double-compute is benign; setdefault keeps one master.
         #: Subject to ``enable_cache`` and dropped by :meth:`clear_cache`.
         self._mode_evaluations: Dict[Tuple[object, ...], PdnEvaluation] = {}
+        #: Phase operating points keyed by (power state, benchmark, TDP): the
+        #: conditions and hash-once memo key every phase with that identity
+        #: resolves to, built once per engine and shared by the study
+        #: prefill and every replay.  Same lifetime rules as above.
+        self._phase_points: Dict[Tuple[object, ...], PhasePoint] = {}
+        #: Scenario traces keyed by (scenario, seed), so the prefill and the
+        #: replays of one trace build it once.  Same lifetime rules.
+        self._traces: Dict[Tuple[str, int], WorkloadTrace] = {}
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -376,8 +410,9 @@ class SimEngine(TwoTierCacheMixin):
     def clear_cache(self) -> None:
         """Drop every memoised simulation and phase evaluation.
 
-        The simulation memo, its statistics, the cross-run mode-evaluation
-        memo and the backing analytic engine's phase cache are all cleared;
+        The simulation memo, its statistics, the cross-run mode-evaluation,
+        phase-point and trace memos and the backing analytic engine's phase
+        cache are all cleared;
         calibrated predictors are model state and survive (rebuild the engine
         to drop those).  Attached disk stores also survive -- use
         :meth:`DiskCache.prune` to reclaim them.
@@ -387,6 +422,8 @@ class SimEngine(TwoTierCacheMixin):
             self._cache_hits = 0
             self._cache_misses = 0
             self._mode_evaluations.clear()
+            self._phase_points.clear()
+            self._traces.clear()
         self._spot.clear_cache()
 
     def cache_key(
@@ -423,7 +460,7 @@ class SimEngine(TwoTierCacheMixin):
         with self._cache_lock:
             digest = self._trace_digests.get(ident)
         if digest is None:
-            trace = build_scenario_trace(point.scenario, seed=point.seed)
+            trace = self._trace(point)
             digest = hashlib.sha256(
                 canonical_key(trace).encode("utf-8")
             ).hexdigest()[:16]
@@ -445,16 +482,137 @@ class SimEngine(TwoTierCacheMixin):
         )
 
     def prime_for_execution(self, units: Iterable[Tuple[str, SimPoint, OverrideKey]]) -> None:
-        """Build every lazily built model the units need, up front.
+        """Build lazy model state and prefill the phase memos, up front.
 
-        Thread-pool workers treat the engine as read-only apart from the
-        locked caches; the expensive lazy state -- the FlexWatts Algorithm-1
-        predictor calibration, per override set -- is forced here on the
-        calling thread before any worker runs.
+        The executor calls this on the calling thread with exactly the
+        units it is about to dispatch (deduplicated and uncached).  It
+        forces the lazy FlexWatts Algorithm-1 predictor calibration, per
+        override set, so thread-pool workers find the engine read-only
+        apart from its locked caches; with the cache enabled it then runs
+        the study-level prefill (:meth:`_prefill_phase_points`).
         """
-        for name, _, overrides in units:
+        unit_list = list(units)
+        for name, _, overrides in unit_list:
             if name == FlexWattsPdn.name:
                 self._predictor_for(overrides)
+        if self._cache_enabled:
+            self._prefill_phase_points(unit_list)
+
+    def _trace(self, point: SimPoint) -> WorkloadTrace:
+        """The point's scenario trace, through the engine memo."""
+        if not self._cache_enabled:
+            return build_scenario_trace(point.scenario, seed=point.seed)
+        ident = (point.scenario, point.seed)
+        trace = self._traces.get(ident)
+        if trace is None:
+            trace = self._traces.setdefault(
+                ident, build_scenario_trace(point.scenario, seed=point.seed)
+            )
+        return trace
+
+    def _phase_point(self, phase: WorkloadPhase, tdp_w: float) -> PhasePoint:
+        """One phase's operating point and memo key, through the engine memo."""
+        if not self._cache_enabled:
+            return phase_point(phase, tdp_w)
+        key = (phase.power_state, phase.benchmark, tdp_w)
+        cached = self._phase_points.get(key)
+        if cached is None:
+            # A malformed phase raises here, uncached, at its place in the
+            # replay; the models are pure, so a racing build is benign.
+            cached = self._phase_points.setdefault(key, phase_point(phase, tdp_w))
+        return cached
+
+    def _prefill_phase_points(
+        self, units: Sequence[Tuple[str, SimPoint, OverrideKey]]
+    ) -> None:
+        """Evaluate every distinct phase point of ``units`` in columnar batches.
+
+        Collects the distinct operating points the units' traces visit
+        (zero-duration phases never replay, so they are skipped) and
+        evaluates them before any replay starts: per FlexWatts override set,
+        one :func:`~repro.pdn.columnar.evaluate_columns` pass per forced
+        mode seeds the cross-run mode memo; static-PDN points warm the
+        backing :class:`~repro.analysis.pdnspot.PdnSpot` through its own
+        batch entry point.  The kernels are bit-identical to the per-point
+        models, so seeding never changes a result.  A batch the kernel
+        declines -- or a point the model rejects -- seeds nothing, and the
+        replay then evaluates per point, raising exactly where it would
+        have without the prefill.
+        """
+        flexwatts: Dict[OverrideKey, Dict[MemoKey, OperatingConditions]] = {}
+        static: Dict[Tuple[object, ...], Tuple[str, OperatingConditions, OverrideKey]] = {}
+        visited: Dict[Tuple[object, ...], Dict[MemoKey, OperatingConditions]] = {}
+        for name, point, overrides in units:
+            if name != FlexWattsPdn.name and name not in self._spot.pdns:
+                continue  # unknown PDNs fail in the replay
+            ident = (point.scenario, point.seed, point.tdp_w, point.trace_period_s)
+            if ident not in visited:
+                visited[ident] = self._visited_phase_points(point)
+            if name == FlexWattsPdn.name:
+                flexwatts.setdefault(overrides, {}).update(visited[ident])
+            else:
+                for key, conditions in visited[ident].items():
+                    static[(name, overrides, key)] = (name, conditions, overrides)
+        for overrides, group in flexwatts.items():
+            self._prefill_mode_evaluations(overrides, group)
+        if static:
+            names = ",".join(sorted({unit[0] for unit in static.values()}))
+            with obs_trace.span("sim.phase_batch", category="sim",
+                                pdn=names, points=len(static)) as batch_span:
+                try:
+                    self._spot.evaluate_units(list(static.values()))
+                    seeded = True
+                except ReproError:
+                    seeded = False
+                batch_span.set("seeded", seeded)
+            if seeded:
+                _SIM_PREFILL_BATCHES.inc()
+
+    def _visited_phase_points(self, point: SimPoint) -> Dict[MemoKey, OperatingConditions]:
+        """The distinct phase points one simulation's replay visits, by key."""
+        points: Dict[MemoKey, OperatingConditions] = {}
+        for phase in self._trace(point).phases:
+            if phase_duration(phase, point.trace_period_s) == 0.0:
+                continue
+            try:
+                conditions, key = self._phase_point(phase, point.tdp_w)
+            except ReproError:
+                continue  # a malformed phase raises in the replay instead
+            points[key] = conditions
+        return points
+
+    def _prefill_mode_evaluations(
+        self,
+        overrides: OverrideKey,
+        group: Mapping[MemoKey, OperatingConditions],
+    ) -> None:
+        """Seed the mode memo with both forced modes of the missing points."""
+        missing = [
+            (key, conditions)
+            for key, conditions in group.items()
+            if any((overrides, mode, key) not in self._mode_evaluations for mode in PdnMode)
+        ]
+        if not missing:
+            return
+        conditions = [entry[1] for entry in missing]
+        # One column layout for both modes (None: unbuildable, each pass declines).
+        batch = columnar_core.ConditionsBatch.from_conditions(conditions)
+        pdn = FlexWattsPdn(parameters=self._parameters_for(overrides))
+        for mode in PdnMode:
+            with obs_trace.span("sim.phase_batch", category="sim", pdn=pdn.name,
+                                mode=mode.value, points=len(missing)) as batch_span:
+                try:
+                    results = columnar_core.evaluate_columns(
+                        pdn, conditions, mode=mode, batch=batch
+                    )
+                except ReproError:
+                    results = None
+                batch_span.set("seeded", results is not None)
+            if results is None:
+                continue
+            _SIM_PREFILL_BATCHES.inc()
+            for (key, _), evaluation in zip(missing, results):
+                self._mode_evaluations.setdefault((overrides, mode, key), evaluation)
 
     def evaluate_uncached(
         self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()
@@ -462,15 +620,18 @@ class SimEngine(TwoTierCacheMixin):
         """Simulate one scenario on one PDN, bypassing the simulation memo.
 
         The trace is rebuilt from the scenario registry (deterministic for a
-        given seed), the simulator batches its phases by operating point, and
-        static-PDN phase evaluations route through the engine's analytic
-        cache so operating points shared *between* scenarios are computed
-        once.  FlexWatts runs get a fresh mode-switch controller per
-        simulation -- adaptive state never leaks between grid points.
+        given seed) and replayed phase by phase.  With the cache enabled,
+        traces and phase points come from per-engine memos, and phase
+        evaluations route through the engine's memos -- the analytic cache
+        for static PDNs, the mode memo for FlexWatts -- so operating points
+        shared *between* scenarios are computed once (and, after
+        :meth:`prime_for_execution`, in columnar batches).  FlexWatts runs
+        get a fresh mode-switch controller per simulation -- adaptive state
+        never leaks between grid points.
         """
-        trace = build_scenario_trace(point.scenario, seed=point.seed)
-        simulator = IntervalSimulator(
-            tdp_w=point.tdp_w, trace_period_s=point.trace_period_s
+        trace = self._trace(point)
+        simulator = _EngineSimulator(
+            self._phase_point, tdp_w=point.tdp_w, trace_period_s=point.trace_period_s
         )
         if pdn_name == FlexWattsPdn.name:
             pdn = FlexWattsPdn(
@@ -497,10 +658,10 @@ class SimEngine(TwoTierCacheMixin):
 
         A simulation unit is a stateful trace replay (mode-switch
         controllers, PMU telemetry, residency guards), not a pure function
-        of column arrays; the vectorization this engine *does* get is
-        inside each replay, where the interval simulator batches phase
-        evaluations per operating point and the backing analytic engine
-        evaluates them through the columnar core.
+        of column arrays.  The vectorization this engine *does* get is
+        the study-level prefill in :meth:`prime_for_execution`, which
+        evaluates every distinct phase point of a batch through the
+        columnar core before the replays run.
         """
         return False
 
@@ -606,17 +767,16 @@ class SimEngine(TwoTierCacheMixin):
         """Simulate ``(pdn_name, point, overrides)`` units, in order.
 
         Exactly the contract of :meth:`PdnSpot.evaluate_units` (the single
-        public batch entry point of every engine): the default serial path
-        memoises each unit on the calling thread; a parallel backend
-        deduplicates, shards, merges worker results back into this engine's
-        memo cache and returns the results in canonical unit order.
+        public batch entry point of every engine): every backend -- the
+        default one-chunk :class:`~repro.analysis.executor.SerialExecutor`
+        included -- deduplicates, primes (the study-level phase prefill),
+        dispatches, merges results back into this engine's memo cache and
+        returns them in canonical unit order, with the per-unit loop's
+        hit/miss accounting.
         """
         backend = make_executor(executor, jobs=jobs)
         if backend is None:
-            return [
-                self._evaluate_cached(name, point, overrides)
-                for name, point, overrides in units
-            ]
+            backend = SerialExecutor(jobs=1)
         return backend.evaluate_units(self, units)
 
     def run(

@@ -16,14 +16,16 @@ import random
 import pytest
 
 from repro.analysis.pdnspot import PdnSpot
+from repro.core.flexwatts import FlexWattsPdn
 from repro.core.hybrid_vr import PdnMode
+from repro.obs.metrics import METRICS
 from repro.pdn import columnar
 from repro.pdn.base import OperatingConditions
 from repro.pdn.registry import build_pdn
 from repro.power.domains import WorkloadType
 from repro.power.power_states import BATTERY_LIFE_STATES
-from repro.sim.engine import IntervalSimulator
 from repro.sim.study import SimEngine, SimPoint
+from repro.workloads.scenarios import available_scenarios
 
 pytestmark = pytest.mark.skipif(
     not columnar.HAVE_NUMPY, reason="columnar path needs NumPy"
@@ -183,14 +185,64 @@ class TestEngineEquivalence:
 # --------------------------------------------------------------------------- #
 # Simulation level: the interval simulator's vectorized phase prefill
 # --------------------------------------------------------------------------- #
+#: Every registered scenario x these TDPs x every PDN x these override sets:
+#: the grid the study-level sim prefill is checked on.
+SIM_TDPS_W = (4.0, 18.0, 50.0)
+SIM_OVERRIDES = ((), (("ivr_tolerance_band_v", 0.012),))
+
+
+def _sim_units():
+    return [
+        (name, SimPoint(scenario=scenario, tdp_w=tdp_w, overrides=overrides), overrides)
+        for overrides in SIM_OVERRIDES
+        for scenario in available_scenarios()
+        for tdp_w in SIM_TDPS_W
+        for name in PDN_NAMES
+    ]
+
+
 class TestSimPrefillEquivalence:
-    @pytest.mark.parametrize("pdn_name", ["MBVR", "FlexWatts"])
-    def test_prefill_matches_scalar_phase_loop(self, pdn_name, monkeypatch):
-        point = SimPoint(scenario="bursty-interactive", tdp_w=18.0)
-        monkeypatch.setattr(IntervalSimulator, "_COLUMNAR_PREFILL_THRESHOLD", 1)
-        prefilled = SimEngine(enable_cache=False).evaluate(pdn_name, point)
-        monkeypatch.setattr(
-            IntervalSimulator, "_COLUMNAR_PREFILL_THRESHOLD", 10**9
-        )
-        scalar = SimEngine(enable_cache=False).evaluate(pdn_name, point)
+    """The study-level prefill seeds the sim memos with columnar batches.
+
+    A cache-enabled :class:`SimEngine` evaluates every distinct phase point
+    of a batch through the columnar core before replaying; the cache-off
+    engine replays per point through the scalar oracle.  Whole
+    ``SimulationResult`` objects -- every phase record, the mode-switch
+    counts, time and energy -- must be equal, and the replay must be served
+    entirely by the prefill.
+    """
+
+    def test_cached_engine_matches_the_per_point_replay(self):
+        units = _sim_units()
+        prefilled = SimEngine().evaluate_units(units)
+        scalar = SimEngine(enable_cache=False).evaluate_units(units)
         assert prefilled == scalar
+        assert sum(result.mode_switch_count for result in prefilled) > 0
+
+    def test_replay_never_evaluates_per_point(self, monkeypatch):
+        units = _sim_units()
+        engine = SimEngine()
+        for overrides in SIM_OVERRIDES:  # calibrate the predictors unspied
+            engine.prime_for_execution([("FlexWatts", units[0][1], overrides)])
+        calls = []
+        forced = FlexWattsPdn.evaluate_in_mode
+        uncached = PdnSpot.evaluate_uncached
+
+        def count_forced(self, conditions, mode):
+            calls.append(("FlexWatts", mode))
+            return forced(self, conditions, mode)
+
+        def count_uncached(self, name, conditions, overrides=()):
+            calls.append((name, None))
+            return uncached(self, name, conditions, overrides)
+
+        # Class-level spies: the columnar core only declines instance patches.
+        monkeypatch.setattr(FlexWattsPdn, "evaluate_in_mode", count_forced)
+        monkeypatch.setattr(PdnSpot, "evaluate_uncached", count_uncached)
+        prefill_batches = METRICS.counter("sim.prefill_batches")
+        before = prefill_batches.value
+        results = engine.evaluate_units(units)
+        assert calls == []
+        # One batch per (override set, forced mode), one for all static units.
+        assert prefill_batches.value - before == 2 * len(SIM_OVERRIDES) + 1
+        assert len(results) == len(units)

@@ -2,7 +2,7 @@
 
 The cache-enabled serial path of :meth:`PdnSpot.evaluate_units` builds every
 unit's key once per batch (the conditions part once per conditions object,
-as a hash-once :class:`~repro.analysis.executor.MemoKey`) and hands callers
+as a hash-once :class:`~repro.pdn.base.MemoKey`) and hands callers
 field-level copies of the cached masters.  None of that may be observable:
 keys equal the per-unit :meth:`PdnSpot.cache_key` (same on-disk addresses,
 same dict slots in any process), results are isolated from caller mutation,
@@ -19,12 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.executor import MemoKey
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.study import Scenario, Study
 from repro.cache import DiskCache, parameters_fingerprint
 from repro.obs.metrics import METRICS
-from repro.pdn.base import OperatingConditions, conditions_key
+from repro.pdn.base import MemoKey, OperatingConditions, conditions_key
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 

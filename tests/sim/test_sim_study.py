@@ -9,17 +9,26 @@ between grid points.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.analysis.executor import EXECUTORS
+from repro.obs.metrics import METRICS
+from repro.pdn.registry import build_pdn
+from repro.power.power_states import PackageCState
 from repro.sim.adapters import (
     SIM_METRIC_COLUMNS,
     phases_to_resultset,
     results_to_resultset,
     simulation_record,
 )
+from repro.sim.engine import IntervalSimulator
 from repro.sim.study import SimEngine, SimPoint, SimStudy, run_sim
 from repro.util.errors import ConfigurationError
+from repro.workloads.base import WorkloadPhase, WorkloadTrace
+from repro.workloads.scenarios import _SCENARIOS, ScenarioSpec, register_scenario
 
 BACKENDS = sorted(EXECUTORS)
 
@@ -211,6 +220,150 @@ class TestEngineSemantics:
         # 40 identical wake cycles collapse to 3 distinct operating points.
         assert spot_info.size == 3
         assert spot_info.misses == 3
+
+
+#: A grid with duplicate points (equal ``SimPoint`` objects, some distinct
+#: instances) over an adaptive-heavy and an idle-heavy scenario.
+_RACE = SimPoint(scenario="race-to-idle", tdp_w=18.0)
+_DUTY = SimPoint(scenario="duty-cycled-background", tdp_w=4.0)
+DUPLICATE_POINTS = (_RACE, _DUTY, _RACE, SimPoint(scenario="race-to-idle", tdp_w=18.0))
+
+_CACHE_COUNTERS = ("cache.installs", "cache.lookup.misses", "cache.memory.hits")
+
+
+def _malformed_c0_trace() -> WorkloadTrace:
+    """A trace whose last phase is C0 without a benchmark.
+
+    :class:`WorkloadPhase` rejects that at construction, so the phase is
+    built valid and then corrupted -- the shape a buggy scenario generator
+    or an unpickled foreign trace could hand the simulator.
+    """
+    broken = WorkloadPhase(power_state=PackageCState.C0_MIN, residency=0.2, duration_s=0.2)
+    object.__setattr__(broken, "power_state", PackageCState.C0)
+    return WorkloadTrace(
+        name="malformed-c0",
+        phases=(
+            WorkloadPhase(power_state=PackageCState.C0_MIN, residency=0.5, duration_s=0.5),
+            WorkloadPhase(power_state=PackageCState.C8, residency=0.3, duration_s=0.3),
+            broken,
+        ),
+    )
+
+
+class TestStudyPrefill:
+    """Accounting and failure paths of the study-level phase prefill."""
+
+    @staticmethod
+    def _account(pdns, evaluate_all):
+        engine = SimEngine()
+        counters = [METRICS.counter(name) for name in _CACHE_COUNTERS]
+        before = [counter.value for counter in counters]
+        evaluate_all(engine, SimStudy("dupes", points=DUPLICATE_POINTS, pdn_names=pdns))
+        deltas = {
+            name: counter.value - start
+            for name, counter, start in zip(_CACHE_COUNTERS, counters, before)
+        }
+        return engine.cache_info(), engine.spot.cache_info(), deltas
+
+    @staticmethod
+    def _loop(engine, study):
+        for point in study.points:
+            for name in study.pdn_names:
+                engine.evaluate(name, point, point.overrides)
+
+    def test_run_counts_like_the_per_unit_loop(self):
+        pdns = ("FlexWatts",)
+        batch = self._account(pdns, lambda engine, study: engine.run(study))
+        per_unit = self._account(pdns, self._loop)
+        assert batch == per_unit
+        info = batch[0]
+        assert (info.hits, info.misses, info.size) == (2, 2, 2)  # 2 distinct, 2 repeats
+
+    def test_static_prefill_reads_count_as_phase_hits(self):
+        """The static prefill computes each point once; replays then hit.
+
+        Everything else matches the per-unit loop: the simulation tier's
+        statistics, the analytic tier's misses and size, every install and
+        every lookup miss.  The one difference is one extra analytic hit per
+        distinct static phase point -- the replay's first read of a point
+        the prefill already installed, where the per-unit loop missed.
+        """
+        pdns = ("IVR", "MBVR", "FlexWatts")
+        sim_info, spot_info, deltas = self._account(
+            pdns, lambda engine, study: engine.run(study)
+        )
+        loop_sim, loop_spot, loop_deltas = self._account(pdns, self._loop)
+        assert sim_info == loop_sim
+        assert (spot_info.misses, spot_info.size) == (loop_spot.misses, loop_spot.size)
+        extra = spot_info.hits - loop_spot.hits
+        assert extra == spot_info.size > 0
+        assert deltas == {**loop_deltas,
+                          "cache.memory.hits": loop_deltas["cache.memory.hits"] + extra}
+
+    @pytest.mark.parametrize("pdn_name", ["IVR", "FlexWatts"])
+    def test_malformed_phase_raises_where_the_replay_reaches_it(self, pdn_name):
+        name = "test-malformed-c0"
+        register_scenario(
+            ScenarioSpec(name, "C0 phase without a benchmark", lambda rng: _malformed_c0_trace()),
+            replace=True,
+        )
+        try:
+            units = [(pdn_name, SimPoint(scenario=name, tdp_w=18.0), ())]
+            with pytest.raises(ConfigurationError) as bare:
+                IntervalSimulator(tdp_w=18.0).run(_malformed_c0_trace(), build_pdn(pdn_name))
+            for engine in (SimEngine(), SimEngine(enable_cache=False)):
+                with pytest.raises(ConfigurationError) as raised:
+                    engine.evaluate_units(units)
+                assert str(raised.value) == str(bare.value) == "a C0 phase needs a benchmark"
+                assert engine.cache_info().size == 0
+        finally:
+            _SCENARIOS.pop(name, None)
+
+    def test_replays_racing_on_the_engine_memos_match_serial(self):
+        """Unprimed replays fill the per-engine memos from many threads."""
+        units = [
+            (name, SimPoint(scenario=scenario, tdp_w=tdp_w), ())
+            for scenario in GRID_SCENARIOS
+            for tdp_w in GRID_TDPS_W
+            for name in ("IVR", "FlexWatts")
+        ] * 2
+        reference = SimEngine(enable_cache=False).evaluate_units(units)
+        engine = SimEngine()  # never primed: the workers fill its memos
+        results = [None] * len(units)
+
+        def work(offset):
+            for index in range(offset, len(units), 8):
+                results[index] = engine.evaluate_uncached(*units[index])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == reference
+
+    def test_each_engine_pays_for_its_own_phase_points(self):
+        study = SimStudy.over_scenarios(["race-to-idle"], tdps_w=[18.0])
+        batches = METRICS.counter("sim.prefill_batches")
+        first = SimEngine()
+        first.run(study)
+        assert first._phase_points and first._mode_evaluations and first._traces
+        fresh = SimEngine()
+        assert (fresh._phase_points, fresh._mode_evaluations, fresh._traces) == ({}, {}, {})
+        before = batches.value
+        assert fresh.run(study) == first.run(study)
+        assert batches.value > before  # recomputed, not inherited
+        first.clear_cache()
+        assert (first._phase_points, first._mode_evaluations, first._traces) == ({}, {}, {})
+        uncached = SimEngine(enable_cache=False)
+        uncached.run(study)
+        assert (uncached._phase_points, uncached._mode_evaluations) == ({}, {})
 
 
 class TestAdapters:
